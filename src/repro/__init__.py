@@ -2,7 +2,7 @@
 maximization (reproduction).
 
 The package reproduces "PrivIM: Differentially Private Graph Neural
-Networks for Influence Maximization" end to end on a pure numpy/scipy
+Networks for Influence Maximization" end to end on a pure numpy
 substrate: graph data structures and generators, a reverse-mode autograd
 engine with five GNN architectures, node-level DP machinery (sensitivity
 bounds, the Theorem 3 RDP accountant, noise calibration), the two subgraph

@@ -16,11 +16,11 @@ over the candidate grid.  :func:`fit_indicator` recovers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.errors import ExperimentError
 
@@ -36,7 +36,7 @@ def gamma_pdf(x: float | np.ndarray, shape: float, scale: float) -> float | np.n
         (shape - 1.0) * np.log(array)
         - array / scale
         - shape * np.log(scale)
-        - gammaln(shape)
+        - math.lgamma(shape)
     )
     result = np.exp(log_pdf)
     return float(result) if np.isscalar(x) else result

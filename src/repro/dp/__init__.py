@@ -18,6 +18,7 @@ from repro.dp.accountant import (
     calibrate_sigma,
     poisson_subsampled_gaussian_rdp,
     privim_step_rdp,
+    step_rdp_grid,
 )
 from repro.dp.input_perturbation import (
     edge_flip_rate,
@@ -45,6 +46,7 @@ __all__ = [
     "rdp_to_dp",
     "DEFAULT_ALPHAS",
     "privim_step_rdp",
+    "step_rdp_grid",
     "poisson_subsampled_gaussian_rdp",
     "PrivacyAccountant",
     "calibrate_sigma",

@@ -9,70 +9,71 @@ Gaussian divergence is mixed over that distribution (Theorem 3):
 ``γ(α) = 1/(α−1) · log Σ_{i=0..N_g} ρ_i · exp(α(α−1) i² / (2 N_g² σ²))``
 
 with ``ρ_i = C(B, i) (N_g/m)^i (1 − N_g/m)^{B−i}``.  All sums are computed
-in log space so large batches and orders stay stable.
+in log space so large batches and orders stay stable, and the whole order
+grid is evaluated in one array operation: ``log ρ`` is shared by every
+order, so an ε costs one ``|α| × (min(N_g, B) + 1)`` log-sum-exp.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from repro.errors import CalibrationError, PrivacyError
-from repro.dp.rdp import DEFAULT_ALPHAS, best_epsilon
+from repro.dp.rdp import DEFAULT_ALPHAS, best_epsilon_grid
 
 
-def _log_binomial_pmf(count: int, trials: int, probability: float) -> np.ndarray:
-    """Log pmf of ``Binomial(trials, probability)`` at ``0..count``.
+def _logsumexp(values: np.ndarray) -> np.ndarray:
+    """``log Σ exp`` along the last axis, shifted by each row's maximum."""
+    shift = values.max(axis=-1, keepdims=True)
+    return np.log(np.exp(values - shift).sum(axis=-1)) + shift[..., 0]
 
-    The degenerate probabilities are handled explicitly: evaluating
-    ``i * log(p)`` / ``(trials - i) * log1p(-p)`` at ``p ∈ {0, 1}`` produces
-    ``0 · (-inf) = NaN`` terms (and RuntimeWarnings) even under ``np.where``
-    masking, which used to poison ε when the touch probability ``N_g / m``
-    reached 1.0 on small containers.
+
+def _log_binomial_pmf(trials: int, probability: float) -> np.ndarray:
+    """Log pmf of ``Binomial(trials, probability)`` at ``0..trials``.
+
+    ``p ∈ {0, 1}`` are point masses, handled explicitly: ``0 · log(0)`` terms
+    would otherwise be NaN (and warn), poisoning ε when ``N_g / m`` is 1.
     """
     if not 0.0 <= probability <= 1.0:
         raise PrivacyError(f"probability must be in [0, 1], got {probability}")
-    if probability == 0.0:
-        # Point mass at i = 0.
-        out = np.full(count + 1, -np.inf)
-        out[0] = 0.0
+    if probability in (0.0, 1.0):
+        out = np.full(trials + 1, -np.inf)
+        out[0 if probability == 0.0 else trials] = 0.0
         return out
-    if probability == 1.0:
-        # Point mass at i = trials (outside 0..count when count < trials).
-        out = np.full(count + 1, -np.inf)
-        if count >= trials:
-            out[trials] = 0.0
-        return out
-    i = np.arange(count + 1)
-    log_coeff = gammaln(trials + 1) - gammaln(i + 1) - gammaln(trials - i + 1)
-    log_p = i * np.log(probability)
-    log_q = (trials - i) * np.log1p(-probability)
-    return log_coeff + log_p + log_q
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(trials + 1)])
+    i = np.arange(trials + 1)
+    return (
+        log_factorial[trials] - log_factorial - log_factorial[::-1]
+        + i * math.log(probability) + (trials - i) * math.log1p(-probability)
+    )
 
 
-def privim_step_rdp(
-    alpha: float,
+def step_rdp_grid(
+    alphas,
     sigma: float,
     batch_size: int,
     num_subgraphs: int,
     max_occurrences: int,
-) -> float:
-    """One-iteration RDP of Algorithm 2 at order ``alpha`` (Theorem 3, Eq. 8).
+) -> np.ndarray:
+    """One-iteration RDP of Algorithm 2 at every order of ``alphas`` (Eq. 8).
 
     Args:
-        alpha: Rényi order (> 1).
+        alphas: Rényi orders (each > 1).
         sigma: noise multiplier (noise std is ``sigma · C · N_g``).
         batch_size: subgraphs per batch ``B``.
         num_subgraphs: container size ``m = |G_sub|``.
         max_occurrences: occurrence bound ``N_g`` (Lemma 1) or ``N_g* = M``.
 
     Returns:
-        γ such that one iteration is ``(α, γ)``-RDP.
+        ``γ`` per order, such that one iteration is ``(α, γ(α))``-RDP.
     """
-    if alpha <= 1:
-        raise PrivacyError(f"alpha must be > 1, got {alpha}")
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if np.any(alphas <= 1):
+        raise PrivacyError(f"alpha must be > 1, got {alphas[alphas <= 1][0]}")
     if sigma <= 0:
         raise PrivacyError(f"sigma must be positive, got {sigma}")
     if batch_size < 1 or num_subgraphs < 1:
@@ -82,33 +83,28 @@ def privim_step_rdp(
     if batch_size > num_subgraphs:
         raise PrivacyError("batch_size cannot exceed the container size")
 
-    touch_probability = min(max_occurrences / num_subgraphs, 1.0)
     # A node cannot touch more batch slots than min(N_g, B).
     top = min(max_occurrences, batch_size)
-
-    if touch_probability >= 1.0:
+    scale = 2.0 * max_occurrences**2 * sigma**2
+    if max_occurrences >= num_subgraphs:
         # Degenerate: every batch is fully touched; reduces to a pure
         # Gaussian shifted by the worst case i = top.
-        return alpha * top**2 / (2.0 * max_occurrences**2 * sigma**2)
+        return alphas * top**2 / scale
 
-    log_rho = _log_binomial_pmf(top, batch_size, touch_probability)
-    # Probability mass of i in (top, B] collapses onto i = top (the shift
-    # cannot exceed N_g · C), keeping the bound valid.
-    if top < batch_size:
-        i_tail = np.arange(top + 1, batch_size + 1)
-        log_tail = (
-            gammaln(batch_size + 1)
-            - gammaln(i_tail + 1)
-            - gammaln(batch_size - i_tail + 1)
-            + i_tail * np.log(touch_probability)
-            + (batch_size - i_tail) * np.log1p(-touch_probability)
-        )
-        log_rho[top] = np.logaddexp(log_rho[top], logsumexp(log_tail))
-
+    log_pmf = _log_binomial_pmf(batch_size, max_occurrences / num_subgraphs)
+    # The mass of i in (top, B] collapses onto i = top (the shift cannot
+    # exceed N_g · C), keeping the bound valid.
+    log_rho = np.append(log_pmf[:top], _logsumexp(log_pmf[top:]))
     i = np.arange(top + 1)
-    exponents = alpha * (alpha - 1.0) * i**2 / (2.0 * max_occurrences**2 * sigma**2)
-    log_terms = log_rho + exponents
-    return float(logsumexp(log_terms) / (alpha - 1.0))
+    exponents = (alphas * (alphas - 1.0))[:, None] * (i**2)[None, :] / scale
+    return _logsumexp(log_rho + exponents) / (alphas - 1.0)
+
+
+def privim_step_rdp(alpha: float, sigma: float, batch_size: int, num_subgraphs: int,
+                    max_occurrences: int) -> float:
+    """One-iteration RDP at the single order ``alpha``: one element of
+    :func:`step_rdp_grid`."""
+    return float(step_rdp_grid((alpha,), sigma, batch_size, num_subgraphs, max_occurrences)[0])
 
 
 def poisson_subsampled_gaussian_rdp(
@@ -131,18 +127,12 @@ def poisson_subsampled_gaussian_rdp(
     if not 0.0 < sampling_rate <= 1.0:
         raise PrivacyError(f"sampling_rate must be in (0, 1], got {sampling_rate}")
 
-    if sampling_rate == 1.0:
-        # No subsampling: the mixture collapses to the plain Gaussian term
-        # k = alpha, i.e. gamma = (alpha^2 - alpha)/(2 sigma^2 (alpha-1)).
-        return float(alpha / (2.0 * sigma**2))
-
+    # The weights C(α,k)(1−q)^{α−k} q^k are the Binomial(α, q) pmf; at
+    # q = 1 it is a point mass at k = α, the plain Gaussian term.
     k = np.arange(alpha + 1)
-    log_coeff = gammaln(alpha + 1) - gammaln(k + 1) - gammaln(alpha - k + 1)
-    with np.errstate(divide="ignore"):
-        log_q = np.where(k > 0, k * np.log(sampling_rate), 0.0)
-        log_1q = np.where(alpha - k > 0, (alpha - k) * np.log1p(-sampling_rate), 0.0)
     exponents = (k**2 - k) / (2.0 * sigma**2)
-    return float(logsumexp(log_coeff + log_q + log_1q + exponents) / (alpha - 1.0))
+    return float(_logsumexp(_log_binomial_pmf(int(alpha), sampling_rate) + exponents)
+                 / (alpha - 1.0))
 
 
 @dataclass
@@ -165,24 +155,14 @@ class PrivacyAccountant:
 
     def __post_init__(self) -> None:
         self.steps = 0
-        # Per-order single-step γ, computed lazily and cached.
-        self._step_gammas: dict[float, float] | None = None
         # Optional budget ledger; see attach_ledger().
         self.ledger = None
 
-    def _gammas(self) -> dict[float, float]:
-        if self._step_gammas is None:
-            self._step_gammas = {
-                alpha: privim_step_rdp(
-                    alpha,
-                    self.sigma,
-                    self.batch_size,
-                    self.num_subgraphs,
-                    self.max_occurrences,
-                )
-                for alpha in self.alphas
-            }
-        return self._step_gammas
+    @cached_property
+    def _step_gammas(self) -> np.ndarray:
+        """Single-step γ over ``alphas``."""
+        return step_rdp_grid(self.alphas, self.sigma, self.batch_size,
+                             self.num_subgraphs, self.max_occurrences)
 
     def attach_ledger(self, ledger) -> "PrivacyAccountant":
         """Emit one event per composition step to ``ledger``.
@@ -211,18 +191,19 @@ class PrivacyAccountant:
 
     def rdp(self, alpha: float) -> float:
         """Cumulative γ at order ``alpha`` after the recorded steps."""
-        gammas = self._gammas()
-        if alpha not in gammas:
-            gammas[alpha] = privim_step_rdp(
-                alpha, self.sigma, self.batch_size, self.num_subgraphs, self.max_occurrences
-            )
-        return gammas[alpha] * self.steps
+        gamma = step_rdp_grid((alpha,), self.sigma, self.batch_size,
+                              self.num_subgraphs, self.max_occurrences)[0]
+        return float(gamma * self.steps)
+
+    def rdp_grid(self) -> np.ndarray:
+        """Cumulative γ at every order of ``alphas`` after the recorded steps."""
+        return self._step_gammas * self.steps
 
     def epsilon(self, delta: float) -> float:
         """Tightest ε over the order grid for the recorded steps."""
         if self.steps == 0:
             return 0.0
-        epsilon, _ = best_epsilon(lambda a: self.rdp(a), delta, self.alphas)
+        epsilon, _ = best_epsilon_grid(self.alphas, self.rdp_grid(), delta)
         return max(epsilon, 0.0)
 
 

@@ -58,27 +58,36 @@ def rdp_to_dp(alpha: float, gamma: float, delta: float) -> float:
     )
 
 
+def best_epsilon_grid(alphas, gammas, delta: float) -> tuple[float, int]:
+    """Theorem 1 at every order at once, minimised over the grid.
+
+    Returns ``(epsilon, index)`` of the first order attaining the minimum;
+    orders whose γ is not finite are skipped.
+    """
+    if not 0 < delta < 1:
+        raise PrivacyError(f"delta must be in (0, 1), got {delta}")
+    alphas = np.asarray(alphas, dtype=np.float64)
+    gammas = np.asarray(gammas, dtype=np.float64)
+    finite = np.isfinite(gammas)
+    if np.any(alphas <= 1) or np.any(gammas[finite] < 0):
+        raise PrivacyError("orders must be > 1 and RDP parameters non-negative")
+    epsilons = np.where(
+        finite,
+        gammas
+        + np.log((alphas - 1.0) / alphas)
+        - (np.log(delta) + np.log(alphas)) / (alphas - 1.0),
+        np.inf,
+    )
+    index = int(np.argmin(epsilons))
+    if not np.isfinite(epsilons[index]):
+        raise PrivacyError("could not find a finite epsilon on the alpha grid")
+    return float(epsilons[index]), index
+
+
 def best_epsilon(
     rdp_curve, delta: float, alphas: tuple[float, ...] = DEFAULT_ALPHAS
 ) -> tuple[float, float]:
-    """Minimise the converted ε over an order grid.
-
-    Args:
-        rdp_curve: callable ``alpha -> gamma`` giving the mechanism's RDP.
-        delta: target δ.
-        alphas: candidate orders.
-
-    Returns:
-        ``(epsilon, best_alpha)``.
-    """
-    best = (np.inf, alphas[0])
-    for alpha in alphas:
-        gamma = rdp_curve(alpha)
-        if not np.isfinite(gamma):
-            continue
-        epsilon = rdp_to_dp(alpha, gamma, delta)
-        if epsilon < best[0]:
-            best = (float(epsilon), float(alpha))
-    if not np.isfinite(best[0]):
-        raise PrivacyError("could not find a finite epsilon on the alpha grid")
-    return best
+    """``(epsilon, best_alpha)`` of the mechanism whose RDP is
+    ``rdp_curve(alpha)``, minimised over an order grid."""
+    epsilon, index = best_epsilon_grid(alphas, [rdp_curve(a) for a in alphas], delta)
+    return epsilon, float(alphas[index])

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.pipeline import PrivIMConfig, PrivIMStar
-from repro.dp.accountant import poisson_subsampled_gaussian_rdp, privim_step_rdp
-from repro.dp.rdp import rdp_to_dp
+from repro.dp.accountant import poisson_subsampled_gaussian_rdp, step_rdp_grid
+from repro.dp.rdp import best_epsilon, best_epsilon_grid
 from repro.experiments.harness import prepare_dataset
 from repro.experiments.profiles import ExperimentProfile, get_profile
 from repro.experiments.reporting import ExperimentReport
@@ -224,23 +224,17 @@ def run_accountant_ablation(
         headers=["sigma", "eps (Theorem 3)", "eps (Poisson-subsampled)"],
     )
     sampling_rate = min(batch_size * max_occurrences / num_subgraphs, 1.0)
+    orders = np.linspace(1.5, 64.0, 200)
     for sigma in sigma_values:
-        eps_theorem3 = min(
-            rdp_to_dp(
-                alpha,
-                steps
-                * privim_step_rdp(alpha, sigma, batch_size, num_subgraphs, max_occurrences),
-                delta,
-            )
-            for alpha in np.linspace(1.5, 64.0, 200)
+        eps_theorem3, _ = best_epsilon_grid(
+            orders,
+            steps * step_rdp_grid(orders, sigma, batch_size, num_subgraphs, max_occurrences),
+            delta,
         )
-        eps_poisson = min(
-            rdp_to_dp(
-                alpha,
-                steps * poisson_subsampled_gaussian_rdp(int(alpha), sigma, sampling_rate),
-                delta,
-            )
-            for alpha in alphas
+        eps_poisson, _ = best_epsilon(
+            lambda a: steps * poisson_subsampled_gaussian_rdp(int(a), sigma, sampling_rate),
+            delta,
+            alphas,
         )
         report.rows.append(
             [sigma, round(max(eps_theorem3, 0.0), 4), round(max(eps_poisson, 0.0), 4)]

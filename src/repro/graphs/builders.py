@@ -33,10 +33,9 @@ def from_networkx(nx_graph) -> Graph:
     """Convert a ``networkx`` graph (nodes relabelled to ``0..n-1``).
 
     Edge attribute ``"weight"`` is used as the influence probability when
-    present; otherwise all weights default to 1.
+    present; otherwise all weights default to 1.  Only the graph's own
+    methods are called, so networkx itself is not imported.
     """
-    import networkx as nx
-
     directed = nx_graph.is_directed()
     nodes = list(nx_graph.nodes())
     index = {node: i for i, node in enumerate(nodes)}
@@ -47,13 +46,17 @@ def from_networkx(nx_graph) -> Graph:
         weights.append(float(data.get("weight", 1.0)))
     if not edges:
         return Graph(len(nodes), np.empty((0, 2), dtype=np.int64), directed=directed)
-    _ = nx  # networkx import kept explicit for clarity
     return Graph(len(nodes), edges, weights, directed=directed)
 
 
 def to_networkx(graph: Graph):
     """Convert to a ``networkx`` ``DiGraph``/``Graph`` with weight attributes."""
-    import networkx as nx
+    try:
+        import networkx as nx
+    except ImportError as error:
+        raise ImportError(
+            "to_networkx needs the 'networkx' extra: pip install -e .[networkx]"
+        ) from error
 
     nx_graph = nx.DiGraph() if graph.is_directed else nx.Graph()
     nx_graph.add_nodes_from(range(graph.num_nodes))

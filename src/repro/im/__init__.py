@@ -4,7 +4,7 @@ from repro.im.ic_model import estimate_ic_spread, simulate_ic
 from repro.im.lt_model import estimate_lt_spread, simulate_lt
 from repro.im.sis_model import simulate_sis
 from repro.im.spread import coverage_spread, estimate_spread
-from repro.im.celf import celf, celf_coverage, greedy_im
+from repro.im.celf import celf_coverage, greedy_im
 from repro.im.ris import reverse_reachable_set, ris_im, sample_rr_sets
 from repro.im.heuristics import degree_seeds, random_seeds
 from repro.im.metrics import coverage_ratio
@@ -19,7 +19,6 @@ __all__ = [
     "simulate_sis",
     "coverage_spread",
     "estimate_spread",
-    "celf",
     "celf_coverage",
     "greedy_im",
     "ris_im",

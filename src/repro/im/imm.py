@@ -18,8 +18,9 @@ module exposes as a hook but does not need at reproduction scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import gammaln
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
@@ -31,7 +32,7 @@ def log_binomial(n: int, k: int) -> float:
     """``ln C(n, k)`` computed stably via log-gamma."""
     if not 0 <= k <= n:
         raise GraphError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def imm_sample_size(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.dp.rdp import best_epsilon
+from repro.dp.rdp import best_epsilon_grid
 from repro.errors import PrivacyError
 
 __all__ = ["PrivacyLedger"]
@@ -50,14 +50,15 @@ class PrivacyLedger:
 
     def record_step(self, accountant) -> dict[str, Any]:
         """Append the event for the accountant's current step count."""
-        epsilon, alpha = best_epsilon(accountant.rdp, self.delta, accountant.alphas)
+        gammas = accountant.rdp_grid()
+        epsilon, index = best_epsilon_grid(accountant.alphas, gammas, self.delta)
         event = {
             "type": "ledger",
             "step": int(accountant.steps),
             "epsilon": float(max(epsilon, 0.0)),
             "delta": self.delta,
-            "best_alpha": float(alpha),
-            "gamma": float(accountant.rdp(alpha)),
+            "best_alpha": float(accountant.alphas[index]),
+            "gamma": float(gammas[index]),
         }
         self.events.append(event)
         if self._sink is not None:

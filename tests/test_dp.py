@@ -228,22 +228,19 @@ class TestTheorem3Accountant:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            at_zero = _log_binomial_pmf(4, 8, 0.0)
-            at_one_truncated = _log_binomial_pmf(4, 8, 1.0)
-            at_one_full = _log_binomial_pmf(8, 8, 1.0)
+            at_zero = _log_binomial_pmf(8, 0.0)
+            at_one = _log_binomial_pmf(8, 1.0)
         # p = 0: point mass at i = 0.
         assert at_zero[0] == 0.0
         assert np.all(at_zero[1:] == -np.inf)
-        # p = 1 with count < trials: the mass at i = trials is out of range.
-        assert np.all(at_one_truncated == -np.inf)
-        # p = 1 with count == trials: point mass at i = trials.
-        assert at_one_full[8] == 0.0
-        assert np.all(at_one_full[:8] == -np.inf)
+        # p = 1: point mass at i = trials.
+        assert at_one[8] == 0.0
+        assert np.all(at_one[:8] == -np.inf)
         # Interior probabilities still normalise: logsumexp(full pmf) == 0.
-        full = _log_binomial_pmf(8, 8, 0.3)
+        full = _log_binomial_pmf(8, 0.3)
         assert np.log(np.sum(np.exp(full))) == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(PrivacyError):
-            _log_binomial_pmf(4, 8, 1.5)
+            _log_binomial_pmf(8, 1.5)
 
     def test_matches_brute_force_mixture(self):
         """Eq. 8 computed naively in float space for small parameters."""

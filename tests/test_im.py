@@ -166,6 +166,14 @@ class TestVectorizedCoverage:
 
 
 class TestCELF:
+    def test_submodule_is_not_shadowed_by_a_function(self):
+        # ``repro.im`` must not re-export a name equal to a submodule's, or
+        # ``import repro.im.celf`` binds that object instead of the module.
+        import repro.im.celf as module
+
+        assert module.celf_coverage is celf_coverage
+        assert module.celf is celf
+
     def brute_force_best(self, graph, k):
         """Exhaustive search over all k-subsets (tiny graphs only)."""
         best = 0
